@@ -343,6 +343,7 @@ class CampaignReader:
         self.var: str = meta["var"]
         self.scheme = LevelScheme(int(meta["num_levels"]), float(meta["step_ratio"]))
         self.steps: list[int] = list(meta["steps"])
+        self._counts: list[int] = [int(c) for c in meta["counts"]]
         self._meshes: dict[int, TriangleMesh] = {}
         self._mappings: dict[int, LevelMapping] = {}
         self.geometry_timings = PhaseTimings()
@@ -398,6 +399,16 @@ class CampaignReader:
         t0 = time.perf_counter()
         field_ = decode_auto(blob)
         timings.decompress_seconds += time.perf_counter() - t0
+        # Multi-plane steps are stored raveled; the plane count is the
+        # base length over the base level's vertex count.
+        planes, rem = divmod(field_.size, self._counts[base_level])
+        if rem or not planes:
+            raise RestorationError(
+                f"base has {field_.size} values; level {base_level} has "
+                f"{self._counts[base_level]} vertices"
+            )
+        if planes > 1:
+            field_ = field_.reshape(planes, -1)
 
         level = base_level
         while level > target_level:
@@ -409,6 +420,8 @@ class CampaignReader:
             t0 = time.perf_counter()
             delta = decode_auto(blob)
             timings.decompress_seconds += time.perf_counter() - t0
+            if planes > 1:
+                delta = delta.reshape(planes, -1)
             t0 = time.perf_counter()
             field_ = apply_delta(field_, delta, mapping)
             timings.restore_seconds += time.perf_counter() - t0

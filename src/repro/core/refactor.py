@@ -101,7 +101,7 @@ def refactor(
         ``"barycentric"`` (ablation).
     priority:
         Edge-collapse priority strategy (see
-        :func:`repro.mesh.edge_collapse.make_priority`).
+        :func:`repro.mesh.edge_collapse.decimate`).
     method:
         Decimation kernel: ``"serial"`` (Algorithm 1's heap loop) or
         ``"batched"`` (round-based vectorized kernel).

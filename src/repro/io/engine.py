@@ -32,7 +32,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import BPFormatError, StorageError
-from repro.io.cache import RangeCache
+from repro.io.cache import CacheEntry, RangeCache
 from repro.io.metadata import VariableRecord
 from repro.io.transports import Transport
 from repro.obs import context as obs_context
@@ -104,6 +104,9 @@ class EngineStats:
     @property
     def hit_ratio(self) -> float:
         """Range-cache hit fraction over all lookups (0.0 when idle).
+
+        A prefetched range counts once, as a miss when it is issued; its
+        first use counts as ``prefetch_useful``, not as a hit.
 
         The service's ``/v1/metrics`` endpoint surfaces this per open
         campaign, so operators see cache effectiveness without scraping
@@ -294,11 +297,7 @@ class RetrievalEngine:
                 future.result()  # wall-time wait; charge already issued
                 entry = self.cache.get(key)
         if entry is not None:
-            if entry.prefetched:
-                entry.prefetched = False
-                self.stats.incr("prefetch_useful")
-            self.stats.record_hit(entry.tier, rec.length)
-            return entry.data
+            return self._consume(entry, rec)
         data, tier_name = self._peek_resilient(
             self._locate(rec), rec.subfile, rec.offset, rec.length
         )
@@ -453,11 +452,7 @@ class RetrievalEngine:
             seen.add(key)
             entry = self.cache.get(key)
             if entry is not None:
-                if entry.prefetched:
-                    entry.prefetched = False
-                    self.stats.incr("prefetch_useful")
-                self.stats.record_hit(entry.tier, rec.length)
-                out[rec.key] = entry.data
+                out[rec.key] = self._consume(entry, rec)
             elif key in self._inflight:
                 waiting.append(rec)
             else:
@@ -497,12 +492,19 @@ class RetrievalEngine:
             if entry is None:  # evicted between completion and consumption
                 out[rec.key] = self.read(rec, verify=verify)
                 continue
-            if entry.prefetched:
-                entry.prefetched = False
-                self.stats.incr("prefetch_useful")
-            self.stats.record_hit(entry.tier, rec.length)
-            out[rec.key] = entry.data
+            out[rec.key] = self._consume(entry, rec)
         return out
+
+    def _consume(self, entry: CacheEntry, rec: VariableRecord) -> bytes:
+        """Count one use of a cached range. The first use of a prefetched
+        range is the prefetch paying off (its miss was counted when it
+        was issued), not a cache hit; later uses are hits."""
+        if entry.prefetched:
+            entry.prefetched = False
+            self.stats.incr("prefetch_useful")
+        else:
+            self.stats.record_hit(entry.tier, rec.length)
+        return entry.data
 
     # ------------------------------------------------------------------
     def prefetch(

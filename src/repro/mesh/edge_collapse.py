@@ -19,6 +19,11 @@ pseudocode leaves implicit:
   priority rather than corrupting the mesh.
 * duplicate-triangle suppression after index remapping.
 
+The queue is a lazy-deletion binary heap owned by the loop, giving the
+O(log N) insert the paper cites as the dominant cost. Priorities are
+computed in vectorized batches: all initial edges at once, then each
+collapse's new edges at once.
+
 Decimation is local (no cross-rank communication), matching the paper's
 observation that refactoring is embarrassingly parallel; see
 :mod:`repro.perfmodel` for how per-core cost is scaled to job sizes.
@@ -26,6 +31,10 @@ observation that refactoring is embarrassingly parallel; see
 
 from __future__ import annotations
 
+import gc
+import heapq
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -33,11 +42,10 @@ import numpy as np
 
 from repro.errors import DecimationError
 from repro.mesh.lineage import CollapseLineage
-from repro.mesh.priority_queue import EdgePriorityQueue, edge_key
 from repro.mesh.triangle_mesh import TriangleMesh
 from repro.obs import trace
 
-__all__ = ["decimate", "DecimationResult", "make_priority", "KERNELS"]
+__all__ = ["decimate", "DecimationResult", "KERNELS"]
 
 #: Registered decimation kernels (see also :mod:`repro.mesh.batch_collapse`).
 KERNELS = ("serial", "batched")
@@ -50,6 +58,8 @@ _MAX_SKIPS = 8
 _SKIP_PENALTY = 1.5
 
 PriorityFn = Callable[[int, int], float]
+
+_GC_LOCK = threading.Lock()
 
 
 @dataclass
@@ -84,44 +94,6 @@ class DecimationResult:
     exhausted: bool = False
     queue_stats: dict[str, int] = field(default_factory=dict)
     lineage: CollapseLineage | None = None
-
-
-def make_priority(
-    name: str,
-    pos: dict[int, np.ndarray],
-    data: dict[str, dict[int, float]],
-    data_scale: float,
-) -> PriorityFn:
-    """Build a named edge-priority function.
-
-    ``"length"`` is the paper's choice (shortest edge first). The paper
-    notes that "choosing the priority of an edge is application dependent
-    and is left for future study"; ``"data_aware"`` is our ablation: edge
-    length inflated by the normalized field jump across the edge, so edges
-    crossing sharp features are collapsed last.
-    """
-    if name == "length":
-
-        def length_priority(u: int, v: int) -> float:
-            d = pos[u] - pos[v]
-            return float(np.hypot(d[0], d[1]))
-
-        return length_priority
-
-    if name == "data_aware":
-        scale = data_scale if data_scale > 0 else 1.0
-
-        def data_priority(u: int, v: int) -> float:
-            d = pos[u] - pos[v]
-            length = float(np.hypot(d[0], d[1]))
-            jump = 0.0
-            for values in data.values():
-                jump = max(jump, abs(values[u] - values[v]) / scale)
-            return length * (1.0 + jump)
-
-        return data_priority
-
-    raise DecimationError(f"unknown priority strategy: {name!r}")
 
 
 def decimate(
@@ -203,21 +175,86 @@ def decimate(
                 f"{mesh.num_vertices} vertices"
             )
 
+    with _gc_paused():
+        return _collapse_serial(
+            mesh, field_map, ratio, priority, placement, strict,
+            record_lineage,
+        )
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector around the serial loop.
+
+    The loop allocates a few hundred thousand tuples and sets that form
+    no reference cycles, so the collector's generational passes (which
+    re-walk the whole heap and adjacency) can free nothing, yet took
+    20-40 % of a full XGC1 plane's decimation. Reference counting still
+    frees everything; the collector is re-enabled only if it was on.
+    """
+    # The lock makes check-and-disable atomic against another thread's
+    # re-enable, so concurrent passes can never leave the collector off.
+    with _GC_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            with _GC_LOCK:
+                gc.enable()
+
+
+def _collapse_serial(
+    mesh: TriangleMesh,
+    field_map: dict[str, np.ndarray],
+    ratio: float,
+    priority: str | PriorityFn,
+    placement: str,
+    strict: bool,
+    record_lineage: bool,
+) -> DecimationResult:
+    """Algorithm 1's heap loop (arguments already validated)."""
     n0 = mesh.num_vertices
     target_vertices = max(3, int(np.ceil(n0 / ratio)))
     target_cuts = n0 - target_vertices
+    if not callable(priority) and priority not in ("length", "data_aware"):
+        raise DecimationError(f"unknown priority strategy: {priority!r}")
+    user_priority = priority if callable(priority) else None
+    data_aware = priority == "data_aware"
+    columns = [np.asarray(arr, dtype=np.float64) for arr in field_map.values()]
+    data_scale = 0.0
+    for arr in columns:
+        if arr.size:
+            data_scale = max(data_scale, float(arr.max() - arr.min()))
+    scale = data_scale if data_scale > 0 else 1.0
 
-    # --- dynamic mesh state ------------------------------------------------
-    pos: dict[int, np.ndarray] = {i: mesh.vertices[i] for i in range(n0)}
-    data: dict[str, dict[int, float]] = {
-        name: dict(enumerate(np.asarray(arr, dtype=np.float64)))
-        for name, arr in field_map.items()
-    }
-    nbr: dict[int, set[int]] = {i: set() for i in range(n0)}
-    tri_table: dict[int, tuple[int, int, int]] = {
-        t: tuple(tri) for t, tri in enumerate(mesh.triangles)
-    }
-    vert_tris: dict[int, set[int]] = {i: set() for i in range(n0)}
+    def priorities(dx, dy, diffs) -> list[float]:
+        """Built-in priorities of edges with coordinate deltas ``dx``/``dy``
+        and per-field value deltas ``diffs`` (arrays or lists alike).
+
+        ``"length"`` is the paper's choice (shortest edge first). The
+        paper leaves the priority "application dependent"; ``"data_aware"``
+        is our ablation: edge length inflated by the normalized field jump
+        across the edge, so edges crossing sharp features go last.
+        """
+        prio = np.hypot(dx, dy)
+        if data_aware:
+            jump = 0.0  # fmax, like max(), lets no NaN jump win
+            for diff in diffs:
+                jump = np.fmax(jump, np.abs(diff) / scale)
+            prio = prio * (1.0 + jump)
+        return prio.tolist()
+
+    # --- dynamic mesh state, indexed by vertex id (merged ids: None) ----
+    px = mesh.vertices[:, 0].tolist()
+    py = mesh.vertices[:, 1].tolist()
+    data = [arr.tolist() for arr in columns]
+    tri_table: dict[int, tuple[int, int, int]] = dict(
+        enumerate(map(tuple, mesh.triangles.tolist()))
+    )
+    nbr: list[set[int] | None] = [set() for _ in range(n0)]
+    vert_tris: list[set[int] | None] = [set() for _ in range(n0)]
     for t, (a, b, c) in tri_table.items():
         nbr[a].update((b, c))
         nbr[b].update((a, c))
@@ -226,21 +263,40 @@ def decimate(
         vert_tris[b].add(t)
         vert_tris[c].add(t)
 
-    data_scale = 0.0
-    for arr in field_map.values():
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.size:
-            data_scale = max(data_scale, float(arr.max() - arr.min()))
-    if callable(priority):
-        prio_fn = priority
+    # --- lazy-deletion edge heap ---------------------------------------
+    # ``prio_of`` maps each live edge (u < v) to its current priority;
+    # heap entries whose priority disagrees are stale and skipped at pop.
+    # Pops follow the total order on (priority, key), so one heapify of
+    # the initial edges pops exactly as one push per edge would.
+    eu, ev = mesh.edges[:, 0], mesh.edges[:, 1]
+    keys = list(zip(eu.tolist(), ev.tolist()))
+    if user_priority is not None:
+        prios = [user_priority(u, v) for u, v in keys]
     else:
-        prio_fn = make_priority(priority, pos, data, data_scale)
+        verts = mesh.vertices
+        prios = priorities(
+            verts[eu, 0] - verts[ev, 0], verts[eu, 1] - verts[ev, 1],
+            [col[eu] - col[ev] for col in columns] if data_aware else (),
+        )
+    prio_of: dict[tuple[int, int], float] = dict(zip(keys, prios))
+    heap = list(zip(prios, keys))
+    heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    pushes = len(heap)
+    stale_pops = 0
 
-    queue = EdgePriorityQueue()
-    for u, v in mesh.edges:
-        queue.push(int(u), int(v), prio_fn(int(u), int(v)))
+    def edge_priorities(a: int, ws) -> list[float]:
+        """Priorities of edges ``(a, w)`` for ``w`` in ``ws``."""
+        if user_priority is not None:
+            return [user_priority(a, w) for w in ws]
+        xa, ya = px[a], py[a]
+        return priorities(
+            [xa - px[w] for w in ws], [ya - py[w] for w in ws],
+            [[col[a] - col[w] for w in ws] for col in data] if data_aware
+            else (),
+        )
 
-    next_vertex = n0
+    midpoint = placement == "midpoint"
     next_tri = len(tri_table)
     vertices_cut = 0
     skipped = 0
@@ -252,87 +308,100 @@ def decimate(
     #   1 - vertices_cut / |V^{l+1}| < 1 - 1/d   ⇔   vertices remaining >
     #   |V^l|/d. We use the equivalent integer form below.
     while vertices_cut < target_cuts:
-        try:
-            (u, v), _ = queue.pop()
-        except IndexError:
+        if not heap:
             exhausted = True
             break
-        if u not in nbr or v not in nbr or v not in nbr[u]:
-            continue  # stale: an endpoint was already merged away
-
-        shared_tris = vert_tris[u] & vert_tris[v]
-        common_nbrs = nbr[u] & nbr[v]
+        prio, key = heappop(heap)
+        if prio_of.get(key) != prio:
+            stale_pops += 1
+            continue
+        del prio_of[key]
+        # ``prio_of`` holds exactly the mesh's live edges, so both
+        # endpoints are alive and adjacent here.
+        u, v = key
+        nu, nv = nbr[u], nbr[v]
+        vtu, vtv = vert_tris[u], vert_tris[v]
+        shared_tris = vtu & vtv
         # Link condition: common neighbors must be exactly the apexes of
         # the triangles sharing edge (u, v).
-        if len(common_nbrs) != len(shared_tris):
+        if len(nu & nv) != len(shared_tris):
             skipped += 1
-            key = edge_key(u, v)
-            skip_count[key] = skip_count.get(key, 0) + 1
-            if skip_count[key] < _MAX_SKIPS:
-                queue.push(u, v, prio_fn(u, v) * _SKIP_PENALTY ** skip_count[key])
+            count = skip_count.get(key, 0) + 1
+            skip_count[key] = count
+            if count < _MAX_SKIPS:
+                prio = edge_priorities(u, (v,))[0] * _SKIP_PENALTY ** count
+                prio_of[key] = prio
+                heappush(heap, (prio, key))
+                pushes += 1
             continue
 
         # --- perform the collapse -----------------------------------------
-        k = next_vertex
-        next_vertex += 1
+        k = len(px)
         if record_lineage:
             merges.append((u, v, k))
-        if placement == "midpoint":
-            pos[k] = (pos[u] + pos[v]) / 2.0  # NewVertex: midpoint
-            for name in data:
-                data[name][k] = (data[name][u] + data[name][v]) / 2.0  # NewData
+        if midpoint:
+            px.append((px[u] + px[v]) / 2.0)  # NewVertex: midpoint
+            py.append((py[u] + py[v]) / 2.0)
+            for col in data:
+                col.append((col[u] + col[v]) / 2.0)  # NewData
         else:  # endpoint: subset placement keeps u's sample
-            pos[k] = pos[u]
-            for name in data:
-                data[name][k] = data[name][u]
+            px.append(px[u])
+            py.append(py[u])
+            for col in data:
+                col.append(col[u])
 
         # Remove triangles incident to the collapsed edge.
         for t in shared_tris:
             a, b, c = tri_table.pop(t)
-            for w in (a, b, c):
-                vert_tris[w].discard(t)
+            vert_tris[a].discard(t)
+            vert_tris[b].discard(t)
+            vert_tris[c].discard(t)
 
-        # Remap surviving triangles of u and v onto k.
-        affected = vert_tris[u] | vert_tris[v]
-        existing = {
-            tuple(sorted(tri))
-            for w in (nbr[u] | nbr[v])
-            if w in vert_tris
-            for t2 in vert_tris[w]
-            if (tri := tri_table.get(t2)) is not None
-        }
-        vert_tris[k] = set()
-        for t in affected:
+        # Remap surviving triangles of u and v onto k. Each holds exactly
+        # one of u, v (the shared ones are gone), so every remapped
+        # triangle contains the fresh id k: it can only duplicate another
+        # remapped triangle, which is identified by its two other corners.
+        vtk: set[int] = set()
+        existing: set[tuple[int, int]] = set()
+        for t in vtu | vtv:
             a, b, c = tri_table.pop(t)
-            for w in (a, b, c):
-                vert_tris[w].discard(t)
-            tri = tuple(k if w in (u, v) else w for w in (a, b, c))
-            canon = tuple(sorted(tri))
-            if len(set(tri)) < 3 or canon in existing:
+            if a == u or a == v:
+                tri, o1, o2 = (k, b, c), b, c
+            elif b == u or b == v:
+                tri, o1, o2 = (a, k, c), a, c
+            else:
+                tri, o1, o2 = (a, b, k), a, b
+            vt1, vt2 = vert_tris[o1], vert_tris[o2]
+            vt1.discard(t)
+            vt2.discard(t)
+            pair = (o1, o2) if o1 < o2 else (o2, o1)
+            if pair in existing:
                 continue
-            existing.add(canon)
-            t_new = next_tri
+            existing.add(pair)
+            tri_table[next_tri] = tri
+            vtk.add(next_tri)
+            vt1.add(next_tri)
+            vt2.add(next_tri)
             next_tri += 1
-            tri_table[t_new] = tri
-            for w in tri:
-                vert_tris[w].add(t_new)
 
         # Rewire adjacency and the queue.
-        new_nbrs = (nbr[u] | nbr[v]) - {u, v}
-        for w in nbr[u]:
+        new_nbrs = (nu | nv) - {u, v}
+        for w in nu:
             nbr[w].discard(u)
-            queue.discard(u, w)
-        for w in nbr[v]:
+            prio_of.pop((u, w) if u < w else (w, u), None)
+        for w in nv:
             nbr[w].discard(v)
-            queue.discard(v, w)
-        del nbr[u], nbr[v], vert_tris[u], vert_tris[v], pos[u], pos[v]
-        for name in data:
-            del data[name][u]
-            del data[name][v]
-        nbr[k] = new_nbrs
+            prio_of.pop((v, w) if v < w else (w, v), None)
+        nbr[u] = nbr[v] = vert_tris[u] = vert_tris[v] = None
+        nbr.append(new_nbrs)
+        vert_tris.append(vtk)
         for w in new_nbrs:
             nbr[w].add(k)
-            queue.push(k, w, prio_fn(k, w))
+        # k is the largest id, so (w, k) is each new edge's key.
+        for w, prio in zip(new_nbrs, edge_priorities(k, new_nbrs)):
+            prio_of[w, k] = prio
+            heappush(heap, (prio, (w, k)))
+        pushes += len(new_nbrs)
 
         vertices_cut += 1
 
@@ -342,26 +411,36 @@ def decimate(
         )
 
     # --- compact into arrays ------------------------------------------------
-    alive = sorted(nbr.keys())
-    remap = {old: new for new, old in enumerate(alive)}
-    vertices = np.array([pos[i] for i in alive], dtype=np.float64)
-    triangles = np.array(
-        [[remap[a], remap[b], remap[c]] for a, b, c in tri_table.values()],
-        dtype=np.int64,
-    ).reshape(-1, 3)
+    alive = np.array(
+        [i for i, adj in enumerate(nbr) if adj is not None], dtype=np.int64
+    )
+    remap = np.empty(len(nbr), dtype=np.int64)
+    remap[alive] = np.arange(len(alive))
+    vertices = np.column_stack((
+        np.array(px, dtype=np.float64)[alive],
+        np.array(py, dtype=np.float64)[alive],
+    ))
+    triangles = remap[
+        np.array(list(tri_table.values()), dtype=np.int64).reshape(-1, 3)
+    ]
     out_fields = {
-        name: np.array([values[i] for i in alive], dtype=np.float64)
-        for name, values in data.items()
+        name: np.array(col, dtype=np.float64)[alive]
+        for name, col in zip(field_map, data)
     }
     out_mesh = TriangleMesh(vertices, triangles, validate=False)
     achieved = n0 / max(1, out_mesh.num_vertices)
     lineage = None
     if record_lineage:
         lineage = CollapseLineage.from_sequence(
-            n0, merges, np.asarray(alive, dtype=np.int64),
-            placement=placement,
+            n0, merges, alive, placement=placement,
         )
-    _record_queue_metrics(queue.stats, skipped)
+    queue_stats = {
+        "pushes": pushes,
+        "stale_pops": stale_pops,
+        "live": len(prio_of),
+        "heap_size": len(heap),
+    }
+    _record_queue_metrics(queue_stats, skipped)
     return DecimationResult(
         mesh=out_mesh,
         fields=out_fields,
@@ -369,7 +448,7 @@ def decimate(
         collapses=vertices_cut,
         skipped=skipped,
         exhausted=exhausted,
-        queue_stats=queue.stats,
+        queue_stats=queue_stats,
         lineage=lineage,
     )
 

@@ -164,3 +164,53 @@ class TestCampaignReader:
             for _, data in reader.time_series(target_level=0)
         ]
         assert means[0] < means[1] < means[2] < means[3]
+
+
+class TestMultiPlaneCampaign:
+    """(planes, n) steps are stored raveled and restored per plane."""
+
+    @pytest.fixture(scope="class")
+    def planes_campaign(self, tmp_path_factory):
+        ds = make_xgc1(scale=0.01)
+        hierarchy = two_tier_titan(
+            tmp_path_factory.mktemp("planes"), fast_capacity=16 << 20,
+            slow_capacity=1 << 34,
+        )
+        x = ds.mesh.vertices[:, 0]
+        steps = {
+            step: np.stack([ds.field + 0.1 * step * np.sin(3 * x),
+                            -ds.field + 0.05 * step])
+            for step in range(3)
+        }
+        with CampaignWriter(
+            hierarchy, "planes", "dpot", ds.mesh, LevelScheme(3),
+            codec="zfp", codec_params={"tolerance": TOL},
+        ) as writer:
+            for step, field in steps.items():
+                writer.write_step(step, field)
+        return hierarchy, steps, writer
+
+    def test_restore_round_trip_within_bound(self, planes_campaign):
+        hierarchy, steps, _ = planes_campaign
+        reader = CampaignReader(hierarchy, "planes")
+        for step, field in steps.items():
+            restored = reader.restore(step, 0).field
+            assert restored.shape == field.shape == (2, field.shape[1])
+            # Base + 2 deltas, each within the codec's absolute TOL.
+            assert np.max(np.abs(restored - field)) <= 3 * TOL + 1e-12
+
+    def test_coarse_levels_keep_the_plane_axis(self, planes_campaign):
+        hierarchy, _, writer = planes_campaign
+        reader = CampaignReader(hierarchy, "planes")
+        for level in (1, 2):
+            out = reader.restore(1, level).field
+            assert out.shape == (2, writer.meshes[level].num_vertices)
+
+    def test_restore_many_matches_restore(self, planes_campaign):
+        hierarchy, steps, _ = planes_campaign
+        reader = CampaignReader(hierarchy, "planes")
+        many = reader.restore_many(target_level=0, workers=2)
+        assert sorted(many) == sorted(steps)
+        for step, data in many.items():
+            assert np.array_equal(data.field, reader.restore(step, 0).field)
+            assert np.max(np.abs(data.field - steps[step])) <= 3 * TOL + 1e-12

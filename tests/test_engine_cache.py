@@ -221,7 +221,25 @@ class TestPrefetch:
         stats = rd.engine_stats()
         assert stats.prefetch_issued == 3
         assert stats.prefetch_useful == 3
+        # First use of a prefetched range is the prefetch paying off, not
+        # a cache hit; reuse after that is.
+        assert stats.hits == 0
+        for key in sorted(payloads):
+            rd.read(key)
         assert stats.hits == 3
+
+    def test_cold_prefetch_then_read_many_is_not_a_hit(self, hierarchy):
+        payloads = {f"k{i}": (b"y" * 500, 1) for i in range(4)}
+        rd = plain_dataset(hierarchy, payloads)
+        rd.prefetch(sorted(payloads))
+        assert rd.read_many(sorted(payloads)) == {
+            k: b"y" * 500 for k in payloads
+        }
+        stats = rd.engine_stats()
+        assert stats.misses == 4 and stats.prefetch_useful == 4
+        assert stats.hit_ratio == 0.0
+        rd.read_many(sorted(payloads))
+        assert stats.hits == 4 and stats.hit_ratio == 0.5
 
     def test_prefetch_unknown_keys_ignored(self, hierarchy):
         rd = plain_dataset(hierarchy, {"k": (b"abc", 1)})

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 1 (edge-collapse decimation) and the priority queue."""
+"""Tests for Algorithm 1 (edge-collapse decimation) and its edge queue."""
 
 import numpy as np
 import pytest
@@ -7,69 +7,112 @@ from repro.errors import DecimationError
 from repro.mesh import TriangleMesh, decimate
 from repro.mesh.generators import annulus, disk, structured_rectangle
 from repro.mesh.metrics import decimation_ratio
-from repro.mesh.priority_queue import EdgePriorityQueue, edge_key
+
+
+def _islands(count: int) -> TriangleMesh:
+    """``count`` disjoint disks: no collapse can join two of them."""
+    parts = [disk(40, seed=i) for i in range(count)]
+    vertices = np.concatenate(
+        [p.vertices + [3.0 * i, 0.0] for i, p in enumerate(parts)]
+    )
+    offsets = np.cumsum([0] + [p.num_vertices for p in parts[:-1]])
+    triangles = np.concatenate(
+        [p.triangles + off for p, off in zip(parts, offsets)]
+    )
+    return TriangleMesh(vertices, triangles)
 
 
 class TestEdgePriorityQueue:
+    """The kernel's inline lazy-deletion edge heap, seen through decimate()."""
+
     def test_push_pop_order(self):
-        q = EdgePriorityQueue()
-        q.push(0, 1, 3.0)
-        q.push(1, 2, 1.0)
-        q.push(2, 3, 2.0)
-        assert q.pop() == ((1, 2), 1.0)
-        assert q.pop() == ((2, 3), 2.0)
-        assert q.pop() == ((0, 1), 3.0)
+        # Initial edges pop in (priority, (u, v)) order; edges created by a
+        # collapse are pushed last (huge priority) and merged endpoints'
+        # edges pop stale, so the merges follow a greedy scan of that order.
+        mesh = structured_rectangle(8, 8)
+        n0 = mesh.num_vertices
+
+        def prio(u, v):
+            return float((u + v) // 3) if v < n0 else 1e9
+
+        res = decimate(mesh, ratio=1.25, priority=prio, record_lineage=True)
+        assert res.skipped == 0
+        merged, expected = set(), []
+        for u, v in sorted(map(tuple, mesh.edges.tolist()),
+                           key=lambda e: (prio(*e), e)):
+            if u not in merged and v not in merged:
+                merged.update((u, v))
+                expected.append((u, v))
+        lin = res.lineage
+        got = list(zip(lin.src_u.tolist(), lin.src_v.tolist()))
+        assert got == expected[: res.collapses]
+        assert set(lin.dst.tolist()) == set(range(n0, n0 + res.collapses))
 
     def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EdgePriorityQueue().pop()
+        # A drained queue ends the pass: lenient returns, strict raises.
+        mesh = _islands(4)
+        res = decimate(mesh, ratio=1000.0)
+        assert res.exhausted and res.mesh.num_vertices == 4
+        assert res.queue_stats["live"] == res.queue_stats["heap_size"] == 0
+        with pytest.raises(DecimationError, match="queue exhausted"):
+            decimate(mesh, ratio=1000.0, strict=True)
 
     def test_update_priority(self):
-        q = EdgePriorityQueue()
-        q.push(0, 1, 5.0)
-        q.push(0, 1, 0.5)  # update
-        key, prio = q.pop()
-        assert key == (0, 1) and prio == 0.5
-        with pytest.raises(IndexError):
-            q.pop()
+        # A link-skipped edge is re-queued: its priority is asked for again.
+        calls = []
+
+        def prio(u, v):
+            calls.append((u, v))
+            return float((u * 7919 + v * 104729) % 211)
+
+        res = decimate(disk(300, seed=11), ratio=2, priority=prio)
+        assert res.skipped > 0
+        assert len(calls) > len(set(calls))
+        assert res.mesh.num_vertices == 150
 
     def test_discard(self):
-        q = EdgePriorityQueue()
-        q.push(0, 1, 1.0)
-        q.push(1, 2, 2.0)
-        q.discard(1, 0)  # order-insensitive
-        assert q.pop() == ((1, 2), 2.0)
+        # Merging drops every edge of both endpoints from the queue, and
+        # every surviving edge stays queued exactly once.
+        res = decimate(disk(400, seed=7), ratio=2)
+        assert res.skipped == 0
+        assert res.queue_stats["live"] == res.mesh.num_edges
 
     def test_len_and_contains(self):
-        q = EdgePriorityQueue()
-        q.push(3, 1, 1.0)
-        assert len(q) == 1
-        assert (1, 3) in q
-        assert (3, 1) in q
-        assert (0, 1) not in q
+        # Every push is popped live (collapse or skip), popped stale, or
+        # still in the heap.
+        res = decimate(annulus(20, 60), ratio=3)
+        stats = res.queue_stats
+        assert stats["pushes"] == (
+            res.collapses + res.skipped + stats["stale_pops"]
+            + stats["heap_size"]
+        )
+        assert stats["heap_size"] >= stats["live"]
 
     def test_edge_key_canonical(self):
-        assert edge_key(5, 2) == (2, 5)
-        assert edge_key(2, 5) == (2, 5)
-
-    def test_peek_does_not_remove(self):
-        q = EdgePriorityQueue()
-        q.push(0, 1, 1.0)
-        assert q.peek() == ((0, 1), 1.0)
-        assert len(q) == 1
+        # Popped edges are canonical (min, max) keys: u < v in every merge.
+        res = decimate(disk(500, seed=2), ratio=4, record_lineage=True)
+        assert np.all(res.lineage.src_u < res.lineage.src_v)
 
     def test_stats_track_stale(self):
-        q = EdgePriorityQueue()
-        q.push(0, 1, 5.0)
-        q.push(0, 1, 1.0)
-        q.pop()
-        with pytest.raises(IndexError):
-            q.pop()  # must skip the stale (0, 1, 5.0) entry
-        assert q.stats["stale_pops"] >= 1
+        mesh = disk(300, seed=14)
+        idle = decimate(mesh, ratio=1.0)
+        assert idle.queue_stats["stale_pops"] == 0
+        assert idle.queue_stats["heap_size"] == idle.queue_stats["pushes"]
+        assert decimate(mesh, ratio=2).queue_stats["stale_pops"] > 0
 
     def test_init_from_items(self):
-        q = EdgePriorityQueue([((0, 1), 2.0), ((1, 2), 1.0)])
-        assert q.pop()[0] == (1, 2)
+        # Every initial edge is queued, in mesh.edges order for a callable.
+        mesh = disk(200, seed=3)
+        calls = []
+
+        def prio(u, v):
+            calls.append((u, v))
+            return float(u)
+
+        idle = decimate(mesh, ratio=1.0, priority=prio)
+        stats = idle.queue_stats
+        assert stats["pushes"] == stats["live"] == mesh.num_edges
+        assert calls == list(map(tuple, mesh.edges.tolist()))
 
 
 class TestDecimation:
@@ -220,6 +263,47 @@ class TestDecimation:
         assert d.max() < 1e-12
         # ...and carries that vertex's exact value.
         assert np.allclose(res.fields["data"], field[idx], atol=1e-12)
+
+    def test_collector_state_restored(self):
+        import gc
+
+        mesh = disk(100, seed=17)
+        assert gc.isenabled()
+        decimate(mesh, ratio=2)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            decimate(mesh, ratio=2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_concurrent_passes_leave_collector_on(self):
+        import gc
+        import sys
+        import threading
+
+        mesh = disk(150, seed=18)
+        want = decimate(mesh, ratio=2).mesh.triangles
+        results, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: results.extend(
+                    decimate(mesh, ratio=2).mesh.triangles for _ in range(5)
+                ))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert gc.isenabled()
+        assert len(results) == 30
+        assert all(np.array_equal(r, want) for r in results)
 
     def test_unknown_placement(self):
         mesh = disk(50, seed=16)
